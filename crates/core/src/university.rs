@@ -211,6 +211,80 @@ pub fn university_database() -> (StructuralSchema, Database) {
     (schema, db)
 }
 
+/// Deterministically seed the university schema at `scale`: per
+/// department — 20 people (12 students, 5 faculty, 3 staff), 8 courses,
+/// 4 grades per course, 2 curriculum rows per course.
+pub fn seed_university_scaled(db: &mut Database, scale: i64, seed: u64) -> Result<()> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let grades = ["A", "B", "C", "D"];
+    let levels = ["graduate", "undergraduate"];
+    for d in 0..scale {
+        let dept = format!("dept-{d}");
+        db.insert("DEPARTMENT", vec![dept.clone().into()])?;
+        let people_base = d * 20;
+        for i in 0..20i64 {
+            let ssn = people_base + i + 1;
+            db.insert(
+                "PEOPLE",
+                vec![
+                    ssn.into(),
+                    format!("person-{ssn}").into(),
+                    dept.clone().into(),
+                ],
+            )?;
+            if i < 12 {
+                db.insert(
+                    "STUDENT",
+                    vec![ssn.into(), if i % 2 == 0 { "MS" } else { "PhD" }.into()],
+                )?;
+            } else if i < 17 {
+                db.insert("FACULTY", vec![ssn.into(), "Professor".into()])?;
+            } else {
+                db.insert("STAFF", vec![ssn.into(), "Administrator".into()])?;
+            }
+        }
+        for c in 0..8i64 {
+            let cid = format!("C{d}-{c}");
+            db.insert(
+                "COURSES",
+                vec![
+                    cid.clone().into(),
+                    format!("course {d}.{c}").into(),
+                    levels[(c % 2) as usize].into(),
+                    dept.clone().into(),
+                ],
+            )?;
+            // 4 distinct students of this department
+            let mut chosen = std::collections::BTreeSet::new();
+            while chosen.len() < 4 {
+                chosen.insert(people_base + 1 + rng.gen_range_i64(0..12));
+            }
+            for ssn in chosen {
+                db.insert(
+                    "GRADES",
+                    vec![
+                        cid.clone().into(),
+                        ssn.into(),
+                        grades[rng.gen_range(0..grades.len())].into(),
+                    ],
+                )?;
+            }
+            for deg in ["MS", "PhD"] {
+                db.insert("CURRICULUM", vec![deg.into(), cid.clone().into()])?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A scaled university database.
+pub fn university_scaled(scale: i64, seed: u64) -> (StructuralSchema, Database) {
+    let schema = university_schema();
+    let mut db = Database::from_schema(schema.catalog());
+    seed_university_scaled(&mut db, scale, seed).expect("generated data is valid");
+    (schema, db)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,9 @@
 //!   registry of view objects with their dialog-chosen translators;
 //! - [`session::Session`] pins snapshot-isolated MVCC read sessions:
 //!   concurrent readers never block the writer, and batches prepared on
-//!   a session commit at the head under first-committer-wins;
+//!   a session commit at the head under first-committer-wins. The head
+//!   and every session read through one implementation and one kind of
+//!   epoch-checked plan cache;
 //! - [`voql`] is a small declarative query/update language on view objects
 //!   (`GET omega WHERE level = 'graduate' AND COUNT(STUDENT) < 5`);
 //! - [`fixtures`] provides the paper's university database (Figure 1) and
@@ -19,6 +21,7 @@
 pub mod catalog;
 pub mod fixtures;
 pub mod generator;
+mod read;
 pub mod session;
 pub mod system;
 pub mod voql;

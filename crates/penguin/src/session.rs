@@ -34,10 +34,10 @@
 //! });
 //! ```
 
+use crate::read::{PlanCache, PlanCacheStats, Reader};
 use crate::system::RegisteredObject;
-use crate::voql::{self, VoqlOutcome, VoqlStatement};
+use crate::voql::{VoqlOutcome, VoqlStatement};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use vo_core::prelude::*;
 use vo_exec::Parallelism;
 
@@ -45,37 +45,23 @@ use vo_exec::Parallelism;
 /// pinned at one committed database version.
 ///
 /// Cheap to pin (tables are shared copy-on-write, never copied) and safe
-/// to read from any number of threads concurrently — all methods take
-/// `&self` and the only interior state, the per-session plan cache, is a
-/// [`Mutex`] held just long enough to clone a plan out.
-#[derive(Debug)]
+/// to read from any number of threads concurrently. Reads run the same
+/// code as the head's (`crate::read`); the only interior state is the
+/// session's plan cache, seeded at pin time with the head's current
+/// plans. A clone is another handle on the same pinned version with a
+/// copy of the cache.
+#[derive(Debug, Clone)]
 pub struct Session {
     schema: StructuralSchema,
     snapshot: DbSnapshot,
     objects: BTreeMap<String, RegisteredObject>,
     parallelism: Parallelism,
-    /// Prepared access plans per object. Unlike the head system's cache
-    /// this one never invalidates: the snapshot's structure cannot move.
-    plans: Mutex<BTreeMap<String, ObjectPlan>>,
+    plans: PlanCache,
 }
 
 // a Session's whole point is crossing threads; fail the build if a field
 // ever stops being shareable
 const _: fn() = vo_exec::assert_send_sync::<Session>;
-
-impl Clone for Session {
-    /// Another handle on the same pinned version (the snapshot is shared,
-    /// the plan cache's current contents are copied).
-    fn clone(&self) -> Self {
-        Session {
-            schema: self.schema.clone(),
-            snapshot: self.snapshot.clone(),
-            objects: self.objects.clone(),
-            parallelism: self.parallelism,
-            plans: Mutex::new(self.plans().clone()),
-        }
-    }
-}
 
 impl Session {
     pub(crate) fn pin(
@@ -83,21 +69,25 @@ impl Session {
         snapshot: DbSnapshot,
         objects: BTreeMap<String, RegisteredObject>,
         parallelism: Parallelism,
-        plans: BTreeMap<String, ObjectPlan>,
+        plans: PlanCache,
     ) -> Self {
         Session {
             schema,
             snapshot,
             objects,
             parallelism,
-            plans: Mutex::new(plans),
+            plans,
         }
     }
 
-    fn plans(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, ObjectPlan>> {
-        // plan cloning cannot panic, so a poisoned lock still guards a
-        // coherent cache
-        self.plans.lock().unwrap_or_else(|e| e.into_inner())
+    fn reader(&self) -> Reader<'_> {
+        Reader {
+            schema: &self.schema,
+            db: self.snapshot.database(),
+            objects: &self.objects,
+            plans: &self.plans,
+            parallelism: self.parallelism,
+        }
     }
 
     /// The committed database version this session is pinned at.
@@ -125,63 +115,41 @@ impl Session {
         self.parallelism
     }
 
+    /// This session's plan-cache counters, zero at pin time.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
+    }
+
     /// Names of all objects registered when the session was pinned.
     pub fn object_names(&self) -> Vec<&str> {
-        self.objects.keys().map(|s| s.as_str()).collect()
+        self.reader().object_names()
     }
 
     /// Look up a registered object.
     pub fn object(&self, name: &str) -> Result<&RegisteredObject> {
-        self.objects
-            .get(name)
-            .ok_or_else(|| Error::NoSuchRelation(format!("view object {name}")))
-    }
-
-    fn object_plan(&self, name: &str, object: &ViewObject) -> Result<ObjectPlan> {
-        if let Some(p) = self.plans().get(name) {
-            return Ok(p.clone());
-        }
-        let p = plan_object(&self.schema, object, self.database())?;
-        self.plans().insert(name.to_owned(), p.clone());
-        Ok(p)
+        self.reader().object(name)
     }
 
     /// All instances of an object at the pinned version — the session
     /// counterpart of [`crate::system::Penguin::instantiate_all`], without
     /// any lock held during instantiation.
     pub fn instantiate_all(&self, name: &str) -> Result<Vec<VoInstance>> {
-        let reg = self.object(name)?;
-        let plan = self.object_plan(name, &reg.object)?;
-        let db = self.database();
-        let pivots: Vec<&Tuple> = db.table(reg.object.pivot())?.scan().collect();
-        let workers = self.parallelism.workers_for(pivots.len());
-        instantiate_many_parallel(&reg.object, db, &plan, &pivots, workers)
+        self.reader().instantiate_all(name)
     }
 
     /// Execute a query on an object at the pinned version.
     pub fn query(&self, name: &str, query: &VoQuery) -> Result<Vec<VoInstance>> {
-        let reg = self.object(name)?;
-        query.execute(&self.schema, &reg.object, self.database())
+        self.reader().query(name, query)
     }
 
     /// The instance anchored on `pivot_key` at the pinned version.
     pub fn instance_by_key(&self, name: &str, pivot_key: &Key) -> Result<VoInstance> {
-        let reg = self.object(name)?;
-        let tuple = self
-            .database()
-            .table(reg.object.pivot())?
-            .get(pivot_key)
-            .cloned()
-            .ok_or_else(|| Error::NoSuchTuple {
-                relation: reg.object.pivot().to_owned(),
-                key: pivot_key.to_string(),
-            })?;
-        assemble(&self.schema, &reg.object, self.database(), tuple)
+        self.reader().instance_by_key(name, pivot_key)
     }
 
     /// Verify the pinned database against the structural model.
     pub fn check_consistency(&self) -> Result<Vec<Violation>> {
-        check_database(&self.schema, self.database())
+        self.reader().check_consistency()
     }
 
     /// Parse a VOQL statement against the session's pinned object
@@ -190,7 +158,7 @@ impl Session {
     /// the pinned snapshot and routes `DELETE`/`UPDATE` to the head
     /// writer instead.
     pub fn parse_voql(&self, src: &str) -> Result<VoqlStatement> {
-        voql::parse_with(&|n| self.object(n).map(|r| &r.object), src)
+        self.reader().parse_voql(src)
     }
 
     /// Execute an already-parsed statement against the pinned version.
@@ -198,22 +166,7 @@ impl Session {
     /// prepare the change here ([`Session::prepare_batch`]) and commit it
     /// at the head ([`crate::system::Penguin::commit_prepared`]).
     pub fn execute_voql(&self, stmt: &VoqlStatement) -> Result<VoqlOutcome> {
-        match stmt {
-            VoqlStatement::Get { object, query } => {
-                Ok(VoqlOutcome::Instances(self.query(object, query)?))
-            }
-            VoqlStatement::ShowObjects => Ok(VoqlOutcome::Text(self.object_names().join("\n"))),
-            VoqlStatement::ShowObject(name) => Ok(VoqlOutcome::Text(
-                self.object(name)?.object.to_tree_string(&self.schema),
-            )),
-            VoqlStatement::ShowSchema => Ok(VoqlOutcome::Text(self.schema.to_graph_string())),
-            VoqlStatement::Delete { object, .. } | VoqlStatement::Update { object, .. } => {
-                Err(Error::ConstraintViolation(format!(
-                    "sessions are read-only: prepare the update on {object} with \
-                     Session::prepare_batch and commit it through Penguin::commit_prepared"
-                )))
-            }
-        }
+        self.reader().execute_voql(stmt)
     }
 
     /// Run the read-only VOQL subset (`GET`, `SHOW ...`) against the
@@ -234,17 +187,10 @@ impl Session {
         name: &str,
         batch: impl Into<UpdateBatch>,
     ) -> UpdateResult<PreparedBatch> {
-        let updater = self
-            .object(name)
-            .and_then(|reg| {
-                reg.updater.as_ref().ok_or_else(|| {
-                    Error::ConstraintViolation(format!(
-                        "no translator chosen for view object {name}; run the dialog first"
-                    ))
-                })
-            })
-            .map_err(|e| UpdateError::new(UpdateStep::Validate, e))?;
-        updater.prepare_batch(&self.schema, self.database(), batch)
+        let reader = self.reader();
+        reader
+            .updater(name)?
+            .prepare_batch(reader.schema, reader.db, batch)
     }
 }
 
@@ -395,6 +341,26 @@ mod tests {
             .prepare_batch("omega", vec![UpdateRequest::CompleteDeletion(inst)])
             .unwrap_err();
         assert_eq!(err.step, UpdateStep::Validate);
+    }
+
+    #[test]
+    fn session_gets_hit_the_plan_cache() {
+        let p = system();
+        let session = p.session();
+        assert_eq!(session.plan_cache_stats(), PlanCacheStats::default());
+        const N: u64 = 5;
+        for i in 0..N {
+            let src = if i % 2 == 0 {
+                "GET omega WHERE course_id = 'CS345'"
+            } else {
+                "GET omega WHERE level = 'graduate'"
+            };
+            session.voql(src).unwrap();
+        }
+        let stats = session.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.invalidations), (N, 0, 0));
+        // the head's counters are the head's own
+        assert_eq!(p.plan_cache_stats().hits, 0);
     }
 
     #[test]

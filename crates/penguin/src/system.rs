@@ -4,8 +4,9 @@
 //! implemented in the PENGUIN system").
 
 use crate::catalog::SavedSystem;
+use crate::read::{PlanCache, Reader};
 use crate::session::Session;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -23,37 +24,7 @@ use vo_store::{CompactionPolicy, CompactionReport, RecoveryReport, Store, StoreO
 /// file — it lives in the store's checkpoint and write-ahead log.
 pub const SYSTEM_FILE: &str = "system.json";
 
-/// Point-in-time counters for one [`Penguin`]'s object-plan cache.
-///
-/// Per-instance (a [`Cell`] inside the system), so concurrent tests and
-/// systems never see each other's traffic; the same events also feed the
-/// process-wide `penguin.plan_cache.*` counters in the [`vo_obs::metrics`]
-/// registry for JSON export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanCacheStats {
-    /// Plan served straight from the cache at the current structure epoch.
-    pub hits: u64,
-    /// Plan built because none was cached for the object.
-    pub misses: u64,
-    /// Cached plans dropped: explicit invalidation, a `database_mut`
-    /// borrow, or a stale plan discovered at lookup time.
-    pub invalidations: u64,
-}
-
-fn cache_hits() -> Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    *C.get_or_init(|| metrics::counter("penguin.plan_cache.hits"))
-}
-
-fn cache_misses() -> Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    *C.get_or_init(|| metrics::counter("penguin.plan_cache.misses"))
-}
-
-fn cache_invalidations() -> Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    *C.get_or_init(|| metrics::counter("penguin.plan_cache.invalidations"))
-}
+pub use crate::read::PlanCacheStats;
 
 /// Journal transactions pending at each store flush — the write-ahead
 /// consumer's lag, the persistence-side counterpart of the per-view
@@ -198,13 +169,9 @@ pub struct Penguin {
     schema: StructuralSchema,
     db: Database,
     objects: BTreeMap<String, RegisteredObject>,
-    /// Prepared access plans per object, stamped with the database
-    /// structure epoch they were built at. Rebuilt lazily whenever the
-    /// epoch moves (index created, relation added/dropped, or a table
-    /// borrowed mutably); tuple-level updates leave them valid.
-    plans: RefCell<BTreeMap<String, ObjectPlan>>,
-    /// Hit/miss/invalidation counters for `plans`.
-    cache_stats: Cell<PlanCacheStats>,
+    /// Prepared access plans per object, rebuilt lazily whenever the
+    /// structure epoch moves; tuple-level updates leave them valid.
+    plans: PlanCache,
     /// Degree of parallelism for pivot-partitioned instantiation.
     /// Defaults to the `VO_PARALLELISM` environment knob when set,
     /// [`Parallelism::Auto`] otherwise; [`Penguin::set_parallelism`]
@@ -228,10 +195,6 @@ pub struct Penguin {
     /// Watch subscriptions fed by [`Penguin::refresh`].
     watches: BTreeMap<WatchId, Watch>,
     next_watch: u64,
-    /// A store flush that failed while reconciling a previous
-    /// [`Penguin::database_mut`] borrow (an infallible signature), parked
-    /// here and surfaced by the next fallible persistence call.
-    store_error: Option<Error>,
     /// Telemetry export pipeline, when attached (the `VO_TELEMETRY` env
     /// knob or [`Penguin::set_telemetry`]). Drained on
     /// [`Penguin::persist_pending`] and on drop.
@@ -243,9 +206,9 @@ pub struct Penguin {
     last_health: Cell<HealthStatus>,
 }
 
-// The facade is single-writer (`RefCell`/`Cell` interior state, so not
-// `Sync`) but must cross threads by move: a network server owns it behind
-// a mutex on its own thread. Fail the build if a field ever stops being
+// The facade is single-writer (`Cell` interior state, so not `Sync`)
+// but must cross threads by move: a network server owns it behind a
+// mutex on its own thread. Fail the build if a field ever stops being
 // sendable.
 const _: fn() = vo_exec::assert_send::<Penguin>;
 
@@ -276,8 +239,7 @@ impl Clone for Penguin {
             schema: self.schema.clone(),
             db,
             objects: self.objects.clone(),
-            plans: RefCell::new(self.plans.borrow().clone()),
-            cache_stats: Cell::new(self.cache_stats.get()),
+            plans: self.plans.clone(),
             parallelism: self.parallelism,
             store: None,
             wal_cursor: None,
@@ -285,7 +247,6 @@ impl Clone for Penguin {
             views: BTreeMap::new(),
             watches: BTreeMap::new(),
             next_watch: 0,
-            store_error: None,
             telemetry: None,
             health_policy: self.health_policy.clone(),
             last_health: Cell::new(self.last_health.get()),
@@ -296,14 +257,12 @@ impl Clone for Penguin {
 impl Drop for Penguin {
     /// Clean shutdown for persistent systems: flush the journal through
     /// the write-ahead cursor (checkpointing instead when structure
-    /// drifted — covers DDL done through a still-open
-    /// [`Penguin::database_mut`] borrow) and fsync regardless of sync
-    /// policy. Errors are ignored (recovery replays the checkpoint +
-    /// intact log tail either way). Tests simulate a crash by skipping
-    /// this with [`std::mem::forget`].
+    /// drifted) and fsync regardless of sync policy. Errors are ignored
+    /// (recovery replays the checkpoint + intact log tail either way).
+    /// Tests simulate a crash by skipping this with [`std::mem::forget`].
     fn drop(&mut self) {
         if self.store.is_some() {
-            let _ = self.flush_store_inner();
+            let _ = self.flush_store();
             if let Some(store) = &mut self.store {
                 let _ = store.sync();
             }
@@ -329,8 +288,7 @@ impl Penguin {
             schema,
             db,
             objects: BTreeMap::new(),
-            plans: RefCell::new(BTreeMap::new()),
-            cache_stats: Cell::new(PlanCacheStats::default()),
+            plans: PlanCache::default(),
             parallelism: Parallelism::from_env().unwrap_or_default(),
             store: None,
             wal_cursor: None,
@@ -338,7 +296,6 @@ impl Penguin {
             views: BTreeMap::new(),
             watches: BTreeMap::new(),
             next_watch: 0,
-            store_error: None,
             telemetry: TelemetryPipeline::from_env().and_then(|r| r.ok()),
             health_policy: HealthPolicy::default(),
             last_health: Cell::new(HealthStatus::Ok),
@@ -442,10 +399,9 @@ impl Penguin {
 
     /// Drain committed-but-unpersisted transactions into the store (a
     /// no-op on in-memory systems) and flush the telemetry pipeline, when
-    /// one is attached. Mutating facade calls flush the store
-    /// automatically; call this after direct [`Penguin::database_mut`]
-    /// work to persist eagerly instead of waiting for the next facade
-    /// call or drop.
+    /// one is attached. Mutating facade calls and
+    /// [`Penguin::with_database_mut`] flush the store themselves; this
+    /// retries a flush that failed there.
     pub fn persist_pending(&mut self) -> Result<()> {
         self.flush_store()?;
         self.drain_telemetry()
@@ -495,23 +451,14 @@ impl Penguin {
     }
 
     /// Read the commit journal through the write-ahead cursor into the
-    /// durable store (no-op when in-memory), surfacing any error parked by
-    /// a previous [`Penguin::database_mut`] reconciliation first. Also
-    /// detects structural drift: the store checkpoints instead of
-    /// appending when the structure epoch moved.
+    /// durable store (no-op when in-memory), checkpointing instead of
+    /// appending when the structure epoch moved. Cursor-transactional:
+    /// peek the journal, write the transactions to the store, and only
+    /// then advance the cursor — a failed write leaves the cursor in
+    /// place, so the same transactions are retried by the next flush.
+    /// Other journal consumers (materialized-view cursors) are untouched
+    /// either way.
     fn flush_store(&mut self) -> Result<()> {
-        if let Some(e) = self.store_error.take() {
-            return Err(e);
-        }
-        self.flush_store_inner()
-    }
-
-    /// The flush itself, cursor-transactional: peek the journal, write the
-    /// transactions to the store, and only then advance the cursor — a
-    /// failed write leaves the cursor in place, so the same transactions
-    /// are retried by the next flush. Other journal consumers
-    /// (materialized-view cursors) are untouched either way.
-    fn flush_store_inner(&mut self) -> Result<()> {
         let (Some(store), Some(cursor)) = (self.store.as_mut(), self.wal_cursor) else {
             return Ok(());
         };
@@ -571,50 +518,19 @@ impl Penguin {
         &self.db
     }
 
-    /// The database (write access — bypasses view objects; prefer the
-    /// object-based update API). Drops every cached access plan up front:
-    /// the caller may change structure through the borrow, and plans
-    /// rebuild lazily on the next instantiation anyway.
-    ///
-    /// On a persistent system, whatever a *previous* borrow left behind —
-    /// journaled DML, or DDL that moved the structure epoch — is flushed
-    /// to the store on entry (DDL triggers a checkpoint), so at most one
-    /// borrow's worth of work is ever exposed to a crash. A flush failure
-    /// here can't be returned from this infallible signature; it is parked
-    /// and surfaced by the next [`Penguin::persist_pending`], mutating
-    /// facade call, or other fallible persistence call. DML done through
-    /// the borrow itself is journaled but only reaches the store at that
-    /// next call (or drop).
-    #[deprecated(
-        note = "use with_database_mut, which flushes the store (and checkpoints on \
-                structural drift) when the borrow ends instead of parking errors \
-                for a later call"
-    )]
-    pub fn database_mut(&mut self) -> &mut Database {
-        self.drop_plans();
-        if self.store.is_some() {
-            if let Err(e) = self.flush_store_inner() {
-                self.store_error.get_or_insert(e);
-            }
-        }
-        &mut self.db
-    }
-
     /// Run `f` with write access to the database (bypassing view objects;
     /// prefer the object-based update API), then reconcile the store
     /// before returning: cached access plans are dropped up front, any
-    /// error parked by an old [`Penguin::database_mut`] borrow plus that
-    /// borrow's pending work are flushed on entry, and on exit the
-    /// closure's own journaled DML is flushed — with structural drift
-    /// (DDL through the borrow) detected and checkpointed — so nothing is
-    /// left for the next facade call to clean up and at most this one
-    /// closure's work is ever exposed to a crash. Unlike the deprecated
-    /// `database_mut`, flush failures surface here, as the error.
+    /// pending work from a failed earlier flush is flushed on entry, and
+    /// on exit the closure's own journaled DML is flushed — with
+    /// structural drift (DDL through the borrow) detected and
+    /// checkpointed — so at most this one closure's work is ever exposed
+    /// to a crash. Flush failures surface here, as the error.
     pub fn with_database_mut<T>(&mut self, f: impl FnOnce(&mut Database) -> T) -> Result<T> {
-        self.drop_plans();
+        self.plans.clear();
         self.flush_store()?;
         let out = f(&mut self.db);
-        self.flush_store_inner()?;
+        self.flush_store()?;
         Ok(out)
     }
 
@@ -623,52 +539,23 @@ impl Penguin {
     /// this automatic for structural changes routed through [`Database`];
     /// the hook exists for callers that mutate structure out of band.
     pub fn invalidate_plans(&self) {
-        self.drop_plans();
+        self.plans.clear();
     }
 
     /// This system's plan-cache counters.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.cache_stats.get()
+        self.plans.stats()
     }
 
-    fn drop_plans(&self) {
-        let dropped = {
-            let mut cache = self.plans.borrow_mut();
-            let n = cache.len() as u64;
-            cache.clear();
-            n
-        };
-        if dropped > 0 {
-            self.bump(|s| s.invalidations += dropped);
-            cache_invalidations().add(dropped);
+    /// The shared read path over the head database.
+    pub(crate) fn reader(&self) -> Reader<'_> {
+        Reader {
+            schema: &self.schema,
+            db: &self.db,
+            objects: &self.objects,
+            plans: &self.plans,
+            parallelism: self.parallelism,
         }
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut PlanCacheStats)) {
-        let mut s = self.cache_stats.get();
-        f(&mut s);
-        self.cache_stats.set(s);
-    }
-
-    /// The prepared plan for a registered object, rebuilt if the database
-    /// structure epoch moved since it was cached.
-    fn object_plan(&self, name: &str, object: &ViewObject) -> Result<ObjectPlan> {
-        let mut cache = self.plans.borrow_mut();
-        if let Some(p) = cache.get(name) {
-            if p.is_current(&self.db) {
-                self.bump(|s| s.hits += 1);
-                cache_hits().inc();
-                return Ok(p.clone());
-            }
-            // stale plan: the structure epoch moved underneath it
-            self.bump(|s| s.invalidations += 1);
-            cache_invalidations().inc();
-        }
-        self.bump(|s| s.misses += 1);
-        cache_misses().inc();
-        let p = plan_object(&self.schema, object, &self.db)?;
-        cache.insert(name.to_owned(), p.clone());
-        Ok(p)
     }
 
     /// Run a SQL statement directly against the base relations. On a
@@ -714,9 +601,8 @@ impl Penguin {
         for (rel, attrs) in plan.required_indexes() {
             self.db.ensure_index(&rel, &attrs)?;
         }
-        // re-plan at the post-provisioning epoch so the cache starts fresh
-        let plan = plan_object(&self.schema, &object, &self.db)?;
-        self.plans.borrow_mut().insert(name.clone(), plan);
+        // cache a plan at the post-provisioning epoch
+        self.plans.plan(&self.schema, &object, &self.db)?;
         self.objects.insert(
             name.clone(),
             RegisteredObject {
@@ -732,14 +618,12 @@ impl Penguin {
 
     /// Look up a registered object.
     pub fn object(&self, name: &str) -> Result<&RegisteredObject> {
-        self.objects
-            .get(name)
-            .ok_or_else(|| Error::NoSuchRelation(format!("view object {name}")))
+        self.reader().object(name)
     }
 
     /// Names of all registered objects.
     pub fn object_names(&self) -> Vec<&str> {
-        self.objects.keys().map(|s| s.as_str()).collect()
+        self.reader().object_names()
     }
 
     /// Run the translator-choice dialog for an object (paper §6); the
@@ -780,39 +664,23 @@ impl Penguin {
         Ok(())
     }
 
-    fn updater(&self, name: &str) -> Result<&ViewObjectUpdater> {
-        self.object(name)?.updater.as_ref().ok_or_else(|| {
-            Error::ConstraintViolation(format!(
-                "no translator chosen for view object {name}; run the dialog first"
-            ))
-        })
-    }
-
-    /// Like [`Penguin::updater`], but with lookup failures attributed to
-    /// the *validate* step of the outcome-returning update API.
     fn updater_checked(&self, name: &str) -> UpdateResult<ViewObjectUpdater> {
-        self.updater(name)
-            .cloned()
-            .map_err(|e| UpdateError::new(UpdateStep::Validate, e))
+        self.reader().updater(name).cloned()
     }
 
-    /// Execute a query on an object.
+    /// Execute a query on an object with its cached plan: a point get
+    /// when the pivot predicate pins the key, one counted scan otherwise
+    /// (see [`VoQuery::execute_planned`]).
     pub fn query(&self, name: &str, query: &VoQuery) -> Result<Vec<VoInstance>> {
-        let reg = self.object(name)?;
-        query.execute(&self.schema, &reg.object, &self.db)
+        self.reader().query(name, query)
     }
 
     /// All instances of an object, via the cached prepared plan (batched,
     /// one join pass per edge step), parallelized across contiguous pivot
     /// partitions per the [`Penguin::set_parallelism`] knob. The plan is
-    /// cloned out of the cache once and shared immutably by every worker,
-    /// so the hot path takes no lock.
+    /// shared immutably by every worker, so the hot path takes no lock.
     pub fn instantiate_all(&self, name: &str) -> Result<Vec<VoInstance>> {
-        let reg = self.object(name)?;
-        let plan = self.object_plan(name, &reg.object)?;
-        let pivots: Vec<&Tuple> = self.db.table(reg.object.pivot())?.scan().collect();
-        let workers = self.parallelism.workers_for(pivots.len());
-        instantiate_many_parallel(&reg.object, &self.db, &plan, &pivots, workers)
+        self.reader().instantiate_all(name)
     }
 
     /// Instantiate all of an object's instances and return the structured
@@ -822,26 +690,13 @@ impl Penguin {
     /// (`index probe` vs `hash build (scan)`). Pairs with SQL
     /// `EXPLAIN ANALYZE` as the observability surface of the system.
     pub fn profile(&self, name: &str) -> Result<ProfileNode> {
-        let reg = self.object(name)?;
-        let plan = self.object_plan(name, &reg.object)?;
-        let pivots: Vec<&Tuple> = self.db.table(reg.object.pivot())?.scan().collect();
-        let (_, prof) = instantiate_many_profiled(&reg.object, &self.db, &plan, &pivots)?;
-        Ok(prof)
+        self.reader().profile(name)
     }
 
-    /// The instance anchored on `pivot_key`, if present.
+    /// The instance anchored on `pivot_key`, if present: one primary-key
+    /// get instantiated with the cached plan.
     pub fn instance_by_key(&self, name: &str, pivot_key: &Key) -> Result<VoInstance> {
-        let reg = self.object(name)?;
-        let tuple = self
-            .db
-            .table(reg.object.pivot())?
-            .get(pivot_key)
-            .cloned()
-            .ok_or_else(|| Error::NoSuchTuple {
-                relation: reg.object.pivot().to_owned(),
-                key: pivot_key.to_string(),
-            })?;
-        assemble(&self.schema, &reg.object, &self.db, tuple)
+        self.reader().instance_by_key(name, pivot_key)
     }
 
     /// Insert an instance through an object.
@@ -935,35 +790,13 @@ impl Penguin {
     /// instantiation doesn't replan.
     pub fn session(&self) -> Session {
         sessions_opened().inc();
-        let plans: BTreeMap<String, ObjectPlan> = self
-            .plans
-            .borrow()
-            .iter()
-            .filter(|(_, p)| p.is_current(&self.db))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
         Session::pin(
             self.schema.clone(),
             self.db.snapshot(),
             self.objects.clone(),
             self.parallelism,
-            plans,
+            self.plans.current_for(&self.db),
         )
-    }
-
-    /// Translate a batch against an arbitrary base database without
-    /// committing it — normally called through
-    /// [`Session::prepare_batch`], which fixes `base` to the session's
-    /// pinned snapshot. The returned [`PreparedBatch`] remembers the base
-    /// version and the relations the translators consulted.
-    pub fn prepare_batch(
-        &self,
-        name: &str,
-        base: &Database,
-        batch: impl Into<UpdateBatch>,
-    ) -> UpdateResult<PreparedBatch> {
-        let updater = self.updater_checked(name)?;
-        updater.prepare_batch(&self.schema, base, batch)
     }
 
     /// Commit a batch prepared against a pinned snapshot, validating it
@@ -1012,7 +845,7 @@ impl Penguin {
     pub fn materialize(&mut self, name: &str) -> Result<&MaterializedView> {
         let object = self.object(name)?.object.clone();
         self.dematerialize(name);
-        let plan = self.object_plan(name, &object)?;
+        let plan = self.plans.plan(&self.schema, &object, &self.db)?;
         for (rel, attrs) in reverse_indexes_for(&object, &plan, &self.db)? {
             self.db.ensure_index(&rel, &attrs)?;
         }
@@ -1039,7 +872,7 @@ impl Penguin {
     /// (and any watches on it). Returns false when nothing was
     /// materialized under `name`. The commit journal stays enabled; on an
     /// otherwise journal-free in-memory system, disable it through
-    /// [`Penguin::database_mut`] if unwanted.
+    /// [`Penguin::with_database_mut`] if unwanted.
     pub fn dematerialize(&mut self, name: &str) -> bool {
         let Some(view) = self.views.remove(name) else {
             return false;
@@ -1210,7 +1043,7 @@ impl Penguin {
                 });
             }
         }
-        let stats = self.cache_stats.get();
+        let stats = self.plans.stats();
         HealthInputs {
             consumer_lags,
             persistence_lag: self.persistence_lag(),
@@ -1260,7 +1093,7 @@ impl Penguin {
 
     /// Verify the whole database against the structural model.
     pub fn check_consistency(&self) -> Result<Vec<Violation>> {
-        check_database(&self.schema, &self.db)
+        self.reader().check_consistency()
     }
 }
 
@@ -1371,25 +1204,6 @@ mod tests {
             .unwrap()
             .has_index(&["dept_name".to_string()]));
         assert!(db.table("STUDENT").unwrap().has_index(&["ssn".to_string()]));
-    }
-
-    #[test]
-    fn instantiation_probes_indexes_without_scans() {
-        let mut p = system();
-        p.define_object(
-            "omega",
-            "COURSES",
-            &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
-        )
-        .unwrap();
-        let before = vo_relational::stats::snapshot();
-        let all = p.instantiate_all("omega").unwrap();
-        let d = before.delta(&vo_relational::stats::snapshot());
-        assert_eq!(all.len(), 3);
-        assert_eq!(d.fallback_scans, 0, "indexed edges must not scan: {d}");
-        assert_eq!(d.hash_builds, 0);
-        assert!(d.index_probes > 0);
-        assert_eq!(d.instances_built, 3);
     }
 
     #[test]
@@ -1682,45 +1496,6 @@ mod tests {
         }
         let p2 = Penguin::open(&dir).unwrap();
         assert_eq!(p2.database().table("GRADES").unwrap().len(), 18);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Deprecated-contract test — deliberately exercises the deprecated
-    /// [`Penguin::database_mut`] borrow (every other caller has migrated
-    /// to [`Penguin::with_database_mut`]). The contract under test: a
-    /// pending borrow's DML + DDL is parked and flushed (checkpointing if
-    /// the structure epoch moved) when the *next* borrow is handed out,
-    /// so a crash between borrows loses only the newest borrow's writes.
-    /// Keep this as the one sanctioned `#[allow(deprecated)]` use; do not
-    /// migrate it, or the reentry path loses its only coverage.
-    #[test]
-    #[allow(deprecated)]
-    fn ddl_between_borrows_is_checkpointed_on_reentry() {
-        let dir = std::env::temp_dir().join(format!("penguin_ddl_reentry_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
-            seed_figure4(p.database_mut()).unwrap();
-            // first borrow left DML + DDL pending; entering a second
-            // borrow flushes (and checkpoints, epoch moved) before handing
-            // out the database
-            p.database_mut()
-                .ensure_index("GRADES", &["ssn".to_string()])
-                .unwrap();
-            p.database_mut()
-                .insert("DEPARTMENT", vec!["Mathematics".into()])
-                .unwrap();
-            // crash: neither Drop nor an explicit flush for the last insert
-            std::mem::forget(p);
-        }
-        let p2 = Penguin::open(&dir).unwrap();
-        // everything up to the second borrow survived the crash
-        assert!(p2
-            .database()
-            .table("GRADES")
-            .unwrap()
-            .has_index(&["ssn".to_string()]));
-        assert_eq!(p2.database().table("COURSES").unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

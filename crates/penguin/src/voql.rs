@@ -385,7 +385,7 @@ impl<'a> P<'a> {
 /// Parse a VOQL statement. Needs the system to resolve object structure
 /// for WHERE conditions.
 pub fn parse(penguin: &Penguin, src: &str) -> Result<VoqlStatement> {
-    parse_with(&|name| penguin.object(name).map(|r| &r.object), src)
+    penguin.reader().parse_voql(src)
 }
 
 /// Parse against any object registry — the same grammar, resolved through
@@ -492,12 +492,10 @@ pub(crate) fn parse_with<'a>(
     }
 }
 
-/// Parse and execute a VOQL statement.
+/// Parse and execute a VOQL statement: writes here, reads through the
+/// read path the head shares with every [`crate::session::Session`].
 pub fn run(penguin: &mut Penguin, src: &str) -> Result<VoqlOutcome> {
     match parse(penguin, src)? {
-        VoqlStatement::Get { object, query } => {
-            Ok(VoqlOutcome::Instances(penguin.query(&object, &query)?))
-        }
         VoqlStatement::Delete { object, query } => {
             let matches = penguin.query(&object, &query)?;
             let n = matches.len();
@@ -531,14 +529,7 @@ pub fn run(penguin: &mut Penguin, src: &str) -> Result<VoqlOutcome> {
             }
             Ok(VoqlOutcome::Updated(n))
         }
-        VoqlStatement::ShowObjects => Ok(VoqlOutcome::Text(penguin.object_names().join("\n"))),
-        VoqlStatement::ShowObject(name) => {
-            let reg = penguin.object(&name)?;
-            Ok(VoqlOutcome::Text(
-                reg.object.to_tree_string(penguin.schema()),
-            ))
-        }
-        VoqlStatement::ShowSchema => Ok(VoqlOutcome::Text(penguin.schema().to_graph_string())),
+        read => penguin.reader().execute_voql(&read),
     }
 }
 

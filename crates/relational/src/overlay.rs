@@ -337,6 +337,15 @@ impl<'a> TableView<'a> {
         hits.into_values().collect()
     }
 
+    /// True when some tuple of the view matches: the base's index probe
+    /// while the delta is empty, [`TableView::find_by_indices`] otherwise.
+    pub fn any_by_indices(&self, indices: &[usize], values: &[Value]) -> bool {
+        if self.delta.rows.is_empty() {
+            return self.base.any_by_indices(indices, values);
+        }
+        !self.find_by_indices(indices, values).is_empty()
+    }
+
     /// Keys of tuples whose named attributes equal `values`.
     pub fn keys_by_attrs(&self, attrs: &[String], values: &[Value]) -> Result<Vec<Key>> {
         Ok(self

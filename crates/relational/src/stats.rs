@@ -44,6 +44,11 @@ fn fallback_scans() -> Counter {
     *C.get_or_init(|| metrics::counter("relational.fallback_scans"))
 }
 
+fn full_scans() -> Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    *C.get_or_init(|| metrics::counter("relational.full_scans"))
+}
+
 fn hash_builds() -> Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     *C.get_or_init(|| metrics::counter("relational.hash_builds"))
@@ -109,6 +114,12 @@ pub fn count_index_probes(n: u64) {
 /// Record one lookup that fell back to a full relation scan.
 pub fn count_fallback_scan() {
     fallback_scans().inc();
+}
+
+/// Record one intended full relation scan: a query whose predicate pins
+/// no key reads every tuple of the relation it selects from.
+pub fn count_full_scan() {
+    full_scans().inc();
 }
 
 /// Record one hash-table build over a relation (set-at-a-time join pass).
@@ -180,6 +191,8 @@ pub struct InstrumentationSnapshot {
     pub index_probes: u64,
     /// Lookups that degraded to a full scan.
     pub fallback_scans: u64,
+    /// Intended full relation scans (query selections pinning no key).
+    pub full_scans: u64,
     /// Hash-table builds for set-at-a-time joins.
     pub hash_builds: u64,
     /// Total rows produced by join steps.
@@ -202,6 +215,7 @@ impl InstrumentationSnapshot {
         InstrumentationSnapshot {
             index_probes: later.index_probes.saturating_sub(self.index_probes),
             fallback_scans: later.fallback_scans.saturating_sub(self.fallback_scans),
+            full_scans: later.full_scans.saturating_sub(self.full_scans),
             hash_builds: later.hash_builds.saturating_sub(self.hash_builds),
             join_rows: later.join_rows.saturating_sub(self.join_rows),
             instances_built: later.instances_built.saturating_sub(self.instances_built),
@@ -216,10 +230,11 @@ impl std::fmt::Display for InstrumentationSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "index_probes={} fallback_scans={} hash_builds={} join_rows={} instances_built={} \
-             overlay_created={} overlay_reads={} snapshot_avoided={}",
+            "index_probes={} fallback_scans={} full_scans={} hash_builds={} join_rows={} \
+             instances_built={} overlay_created={} overlay_reads={} snapshot_avoided={}",
             self.index_probes,
             self.fallback_scans,
+            self.full_scans,
             self.hash_builds,
             self.join_rows,
             self.instances_built,
@@ -235,6 +250,7 @@ pub fn snapshot() -> InstrumentationSnapshot {
     InstrumentationSnapshot {
         index_probes: index_probes().get(),
         fallback_scans: fallback_scans().get(),
+        full_scans: full_scans().get(),
         hash_builds: hash_builds().get(),
         join_rows: join_rows().get(),
         instances_built: instances_built().get(),
@@ -249,6 +265,7 @@ pub fn snapshot() -> InstrumentationSnapshot {
 pub fn reset() {
     index_probes().reset();
     fallback_scans().reset();
+    full_scans().reset();
     hash_builds().reset();
     join_rows().reset();
     instances_built().reset();

@@ -230,6 +230,24 @@ impl Table {
             .collect()
     }
 
+    /// True when some tuple's attributes at `indices` equal `values`:
+    /// [`Table::find_by_indices`] without collecting the matches.
+    pub fn any_by_indices(&self, indices: &[usize], values: &[Value]) -> bool {
+        if let Some(index) = self.indexes.get(indices) {
+            crate::stats::count_index_probe();
+            return index
+                .get(values)
+                .is_some_and(|keys| keys.iter().any(|k| self.rows.contains_key(k)));
+        }
+        crate::stats::count_fallback_scan();
+        self.rows.values().any(|t| {
+            indices
+                .iter()
+                .zip(values.iter())
+                .all(|(&i, v)| t.get(i) == v)
+        })
+    }
+
     /// Index-only probe for the set-at-a-time engine: tuples matching
     /// `values` through the secondary index at `indices` (in primary-key
     /// order), or `None` when no such index exists. Unlike

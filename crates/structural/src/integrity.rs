@@ -171,43 +171,44 @@ pub fn check_database(schema: &StructuralSchema, db: &impl DbRead) -> Result<Vec
     for conn in schema.connections() {
         let r1 = db.view(&conn.from)?;
         let r2 = db.view(&conn.to)?;
+        let from = r1.schema().indices_of(&conn.from_attrs)?;
+        let to = r2.schema().indices_of(&conn.to_attrs)?;
         match conn.kind {
             ConnectionKind::Ownership | ConnectionKind::Subset => {
                 // every R2 tuple needs a connected R1 tuple
                 for t2 in r2.scan() {
-                    let vals = conn.to_values(r2.schema(), t2)?;
+                    let vals = t2.project(&to);
                     if vals.iter().any(Value::is_null) {
                         // key attrs cannot be NULL; defensive
                         continue;
                     }
-                    let owners = r1.find_by_attrs(&conn.from_attrs, &vals)?;
-                    if owners.is_empty() {
-                        let v = if conn.kind == ConnectionKind::Ownership {
+                    if !r1.any_by_indices(&from, &vals) {
+                        let (connection, relation) = (conn.name.clone(), conn.to.clone());
+                        let key = t2.key(r2.schema());
+                        out.push(if conn.kind == ConnectionKind::Ownership {
                             Violation::OrphanOwned {
-                                connection: conn.name.clone(),
-                                relation: conn.to.clone(),
-                                key: t2.key(r2.schema()),
+                                connection,
+                                relation,
+                                key,
                             }
                         } else {
                             Violation::SubsetWithoutParent {
-                                connection: conn.name.clone(),
-                                relation: conn.to.clone(),
-                                key: t2.key(r2.schema()),
+                                connection,
+                                relation,
+                                key,
                             }
-                        };
-                        out.push(v);
+                        });
                     }
                 }
             }
             ConnectionKind::Reference => {
                 // every R1 tuple is connected or has NULL X1
                 for t1 in r1.scan() {
-                    let vals = conn.from_values(r1.schema(), t1)?;
+                    let vals = t1.project(&from);
                     if vals.iter().any(Value::is_null) {
                         continue;
                     }
-                    let targets = r2.find_by_attrs(&conn.to_attrs, &vals)?;
-                    if targets.is_empty() {
+                    if !r2.any_by_indices(&to, &vals) {
                         out.push(Violation::DanglingReference {
                             connection: conn.name.clone(),
                             relation: conn.from.clone(),

@@ -269,22 +269,23 @@ fn torn_tail_recovers_to_previous_commit() {
 }
 
 /// Regression for the single-consumer journal hazard: an external
-/// consumer calling [`Database::drain_committed`] mid-workload — before
-/// the write-ahead persister has flushed — historically *stole* the
-/// pending transactions, so a crash afterwards lost them. With fan-out
-/// cursors the drain reads through its own cursor and persistence keeps
-/// its place.
+/// consumer reading the journal mid-workload — before the write-ahead
+/// persister has flushed — historically *stole* the pending
+/// transactions, so a crash afterwards lost them. With fan-out cursors
+/// the reader consumes through its own cursor and persistence keeps its
+/// place.
 #[test]
 fn external_drain_does_not_steal_from_persistence() {
     let dir = tmp_dir("drain_steal");
     let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
     p.with_database_mut(|db| {
         seed_figure4(db).unwrap();
-        // the whole seed is still unflushed; drain it through the legacy
-        // consumer interface
-        let drained: usize = db.drain_committed().iter().map(|t| t.len()).sum();
+        // the whole seed is still unflushed; consume it through a cursor
+        // of the reader's own
+        let reader = db.journal_subscribe(JournalStart::Oldest);
+        let drained = db.journal_read(reader).unwrap().op_count();
         assert!(drained > 0, "the seed transactions must be journaled");
-        // and keep committing after the drain
+        // and keep committing after the read
         db.insert("DEPARTMENT", vec!["Mathematics".into()]).unwrap();
     })
     .unwrap();
@@ -306,26 +307,22 @@ fn external_drain_does_not_steal_from_persistence() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression for the `database_mut` DDL crash window: structural changes
-/// made through the raw borrow are flushed as a checkpoint by the next
-/// persistence call (or the next borrow), so a kill right after leaves
-/// nothing behind. The deprecated raw borrow is deliberately exercised —
-/// `with_database_mut` closes this window by construction.
+/// Regression for the DDL crash window: structural changes made through
+/// the borrow are flushed as a checkpoint when the borrow ends, so a kill
+/// right after leaves nothing behind.
 #[test]
-#[allow(deprecated)]
 fn ddl_through_borrow_survives_kill_and_recover() {
     let dir = tmp_dir("ddl_borrow");
     let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
-    seed_figure4(p.database_mut()).unwrap();
-    p.database_mut()
-        .create_index("GRADES", &["grade".to_string()])
+    p.with_database_mut(seed_figure4).unwrap().unwrap();
+    // epoch drifts inside the borrow → its exit flush checkpoints
+    // instead of appending
+    p.with_database_mut(|db| db.create_index("GRADES", &["grade".to_string()]))
+        .unwrap()
         .unwrap();
-    // epoch drifted → this flush checkpoints instead of appending
-    p.persist_pending().unwrap();
-    p.database_mut()
-        .insert("DEPARTMENT", vec!["Mathematics".into()])
+    p.with_database_mut(|db| db.insert("DEPARTMENT", vec!["Mathematics".into()]))
+        .unwrap()
         .unwrap();
-    p.persist_pending().unwrap();
     let live = fingerprint(p.database());
     std::mem::forget(p); // crash
 
